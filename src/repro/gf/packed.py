@@ -4,16 +4,17 @@
 integer bit masks — perfect for a single node, but a whole-network coded
 round then costs ``n`` Python-level ``insert`` / ``random_combination`` calls.
 This module stores *every* node's basis in one stacked ``uint64`` array with
-per-node rank / pivot-table / sorted-order vectors, so the three steps of a
+per-node rank / pivot-lead / sorted-order vectors, so the three steps of a
 network-coded round become a handful of numpy passes:
 
 1. **compose** — one random (or pre-committed) pick matrix combined against
    all bases at once (:meth:`GF2BasisBatch.compose_random` /
    :meth:`GF2BasisBatch.combine_sorted`);
-2. **insert** — word-parallel XOR elimination of one incoming vector per
-   node, executed in lockstep across the network
-   (:meth:`GF2BasisBatch.insert_batch`), with vectorised innovative-flag
-   extraction;
+2. **insert** — word-parallel XOR elimination of a whole inbox, executed
+   in lockstep across the network (:meth:`GF2BasisBatch.insert_batch`):
+   one reduce pass against the bases as they stood, a short wave loop
+   that appends each basis' innovative vectors in listed order, and one
+   dense back-elimination of the previously held rows per call;
 3. **decode readiness** — incremental coefficient-rank counters via stacked
    projection bases (:meth:`GF2BasisBatch.coefficient_ranks`), plus a final
    vectorised Gauss-Jordan :meth:`GF2BasisBatch.decode_payload_masks_batch`
@@ -138,15 +139,24 @@ class GF2BasisBatch:
     The storage layout:
 
     * ``rows`` — ``(n, words, capacity)`` uint64 (word-major, so the
-      select-and-XOR passes reduce over the contiguous trailing axis);
+      select-and-XOR passes reduce over the contiguous trailing axis, and
+      a basis' live rows ``[:rank]`` form one contiguous block per word);
       column ``j`` of basis ``u`` is the ``j``-th *inserted*
       (post-reduction) basis row, bit-identical to the ``j``-th value added
-      to ``GF2Basis._rows``.
+      to ``GF2Basis._rows``.  Rows are kept mutually reduced: no row
+      carries another row's leading bit.
     * ``ranks`` — per-basis rank.
-    * pivot table — per basis, leading-bit -> row index (or -1).
+    * pivot leads — per basis, row index -> leading bit (-1 when unused),
+      with the same pivots cached as (word index, shift) pairs so the
+      insert passes extract pivot bits with one gather.
     * sorted order — per basis, row index -> descending-leading-bit position,
       maintained incrementally so composing against ``basis_masks()`` order
       (what the per-node code does) is a gather, not a sort.
+
+    An insert call touches the store in three passes (see
+    :meth:`insert_batch`): a reduce against the live columns, a wave loop
+    that works on a small per-call block of new rows, and one dense masked
+    XOR per call depth that clears the new pivots from the held rows.
     """
 
     def __init__(self, n: int, length: int, *, span_cap: int | None = None):
@@ -163,10 +173,13 @@ class GF2BasisBatch:
         # axis is what lets numpy SIMD-vectorise the select-and-XOR passes.
         self.rows = np.zeros((n, self.words, self._capacity), dtype=np.uint64)
         self._rank = np.zeros(n, dtype=np.int64)
-        self._pivot_row = np.full((n, max(1, length)), -1, dtype=np.int64)
         #: Leading bit of each stored row (-1 for unused slots): the pivot
         #: positions the reduction pass tests the incoming vectors against.
         self._lead = np.full((n, self._capacity), -1, dtype=np.int64)
+        #: The same pivots as (word index, shift) pairs, cached for bit
+        #: extraction; unused slots point at the zero pad word ``words``.
+        self._lead_word = np.full((n, self._capacity), self.words, dtype=np.int64)
+        self._lead_shift = np.zeros((n, self._capacity), dtype=np.uint64)
         #: row index -> position in descending-leading-bit order (valid for
         #: row indices < rank; other entries are garbage and masked on use).
         self._pos = np.zeros((n, self._capacity), dtype=np.int64)
@@ -196,6 +209,13 @@ class GF2BasisBatch:
         self._lead = np.concatenate(
             [self._lead, np.full((self.n, extra), -1, dtype=np.int64)], axis=1
         )
+        self._lead_word = np.concatenate(
+            [self._lead_word, np.full((self.n, extra), self.words, dtype=np.int64)],
+            axis=1,
+        )
+        self._lead_shift = np.concatenate(
+            [self._lead_shift, np.zeros((self.n, extra), dtype=np.uint64)], axis=1
+        )
         self._pos = np.concatenate(
             [self._pos, np.zeros((self.n, extra), dtype=np.int64)], axis=1
         )
@@ -218,25 +238,25 @@ class GF2BasisBatch:
     def insert_batch(self, node_ids: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         """Insert one vector per listed basis, in lockstep; return innovative flags.
 
-        ``vectors`` is ``(len(node_ids), words)`` uint64.  Exactly replicates
-        ``GF2Basis.insert`` per (node, vector) pair: the mutually-reduced
-        invariant makes this two vectorised passes —
+        ``vectors`` is ``(len(node_ids), words)`` uint64.  ``node_ids`` *may*
+        repeat: repeated entries insert into the same basis in listed order
+        (how a round's whole inbox is delivered in one call).  The result
+        replicates ``GF2Basis.insert`` per (node, vector) pair, in three
+        passes with no per-vector Python loop:
 
-        1. *reduce*: the pivot rows to XOR into each vector are selected by
-           the vector's bits at its basis' pivot positions (rows carry no
-           foreign pivot bits, so no reduction chain exists), and
-        2. *back-eliminate*: each surviving vector's new leading bit is
-           cleared from the rows that carry it
-
-        — with no data-dependent inner loop.
-
-        ``node_ids`` *may* repeat: repeated entries insert into the same
-        basis in listed order (how a round's whole inbox is delivered in one
-        call).  Full reduction yields the canonical residual — it depends
-        only on the span and pivot set, not on the row representatives — so
-        one shared pass 1 against the pre-call basis is exact, and a later
-        duplicate only needs fixing up against the rows its own basis gained
-        *within* this call (a short wave loop over collision depth).
+        1. *reduce*: every vector is reduced against its basis as it stood
+           before the call — the pivot rows to XOR in are selected by the
+           vector's bits at the basis' pivot positions (rows carry no
+           foreign pivot bits, so no reduction chain exists);
+        2. *waves*: each basis appends the first of its surviving vectors;
+           the basis' later vectors are reduced against that one new row
+           and re-enter the next wave.  Full reduction yields the canonical
+           residual, which depends only on the span and the pivot set, so
+           this matches sequential inserts.  Rows added in this call are
+           back-eliminated against each other as they arrive; and
+        3. *back-eliminate*: the rows a basis held before the call are
+           cleared of the call's new pivot bits once, by one dense masked
+           XOR per call depth.
         """
         node_ids = np.asarray(node_ids, dtype=np.int64)
         m = node_ids.size
@@ -249,120 +269,153 @@ class GF2BasisBatch:
         if open_sel.size == 0:
             return innovative
         nodes = node_ids[open_sel]
-        v = vectors[open_sel].astype(np.uint64, copy=True)
+        words = self.words
+        # One trailing zero word: unused pivot slots point at it, so their
+        # extracted bit is 0 without a validity mask.
+        v = np.zeros((nodes.size, words + 1), dtype=np.uint64)
+        v[:, :words] = vectors[open_sel]
         width = int(self._rank[nodes].max())
         if width:
             # Pass 1 — reduce: select each basis' rows whose pivot bit is set
-            # in the incoming vector, XOR them all in at once.  When the
-            # batch covers the whole network in uid order (a common delivery
-            # shape), row access is a view, not a large gather.
-            whole = nodes.size == self.n and bool((nodes == np.arange(self.n)).all())
-            leads = self._lead[:, :width] if whole else self._lead[nodes, :width]
-            rows = self.rows[:, :, :width] if whole else self.rows[nodes][:, :, :width]
-            valid = leads >= 0
-            safe = np.where(valid, leads, 0)
-            a = np.arange(nodes.size)
-            bits = (
-                v[a[:, None], safe >> 6] >> (safe & 63).astype(np.uint64)
-            ) & np.uint64(1)
-            picked = (bits.astype(bool) & valid).astype(np.uint64)
-            if picked.any():
+            # in the incoming vector, XOR them all in at once.  Only the live
+            # ``[:width]`` columns are read, and the pivot bits come from
+            # the cached (word, shift) pairs.
+            whole = self._covers_all(nodes)
+            at = slice(None) if whole else nodes
+            bits = np.take_along_axis(v, self._lead_word[at, :width], axis=1)
+            bits >>= self._lead_shift[at, :width]
+            bits &= 1
+            if bits.any():
                 # Multiply-then-reduce over the contiguous row axis: the
-                # branch-free form numpy vectorises best.
-                v ^= np.bitwise_xor.reduce(rows * picked[:, None, :], axis=2)
+                # branch-free form numpy vectorises best.  A gathered block
+                # is a fresh copy, so it is multiplied in place.
+                if whole:
+                    block = self.rows[:, :, :width] * bits[:, None, :]
+                else:
+                    block = self.rows[nodes, :, :width]
+                    block *= bits[:, None, :]
+                body = v[:, :words]
+                body ^= np.bitwise_xor.reduce(block, axis=2)
         lead = _leading_bits(v)
         pending = np.flatnonzero(lead >= 0)
-        start_rank = self._rank[nodes].copy()
+        if pending.size == 0:
+            return innovative
+        # This call's new rows, per basis and depth (the wave that added
+        # them); stored into ``rows`` only once pass 3 is done.
+        depth = int(np.bincount(nodes[pending]).max())
+        added = np.zeros((self.n, words, depth), dtype=np.uint64)
+        waves: list[tuple[np.ndarray, np.ndarray]] = []
         while pending.size:
-            # First listed occurrence per basis appends this wave; later
-            # duplicates are reduced against every row their basis gained in
-            # this call (those rows are mutually reduced with the whole
-            # basis, so one pass restores the canonical residual) and
-            # re-enter the next wave.  Wave count = max per-basis number of
-            # innovative vectors, not inbox depth.
-            _, first = np.unique(nodes[pending], return_index=True)
-            if first.size == pending.size:
-                ready = pending
-                rest = pending[:0]
-            else:
-                mask = np.zeros(pending.size, dtype=bool)
-                mask[first] = True
-                ready, rest = pending[mask], pending[~mask]
+            # Pass 2 — one wave: the first listed occurrence per basis
+            # appends.  A basis appends in consecutive waves from the first,
+            # so its ``w``-th new row sits at depth ``w``.
+            _, first, inverse = np.unique(
+                nodes[pending], return_index=True, return_inverse=True
+            )
+            is_first = np.zeros(pending.size, dtype=bool)
+            is_first[first] = True
+            ready = pending[is_first]
             # Defensive cap clamp (mirrors the scalar short-circuit; a true
             # span_cap makes residuals vanish before this can trigger).
-            fits = self._rank[nodes[ready]] < self.span_cap
-            ready = ready[fits]
+            ready = ready[self._rank[nodes[ready]] < self.span_cap]
             if ready.size:
-                self._append_rows(nodes[ready], v[ready], lead[ready])
+                w = len(waves)
+                ready_nodes = nodes[ready]
+                ready_lead = lead[ready]
+                y = v[ready, :words]
+                if w:
+                    # Clear the new pivot bit from the rows this call added
+                    # to the same bases.
+                    carrier = added[ready_nodes, ready_lead >> 6, :w]
+                    carrier >>= (ready_lead & 63).astype(np.uint64)[:, None]
+                    carrier &= 1
+                    added[ready_nodes, :, :w] ^= y[:, :, None] * carrier[:, None, :]
+                added[ready_nodes, :, w] = y
+                slots = self._append_rows(ready_nodes, y, ready_lead)
+                waves.append((ready_nodes, slots))
                 innovative[open_sel[ready]] = True
+            rest = pending[~is_first]
             if rest.size == 0:
                 break
-            rest_nodes = nodes[rest]
-            low = start_rank[rest]
-            high = self._rank[rest_nodes]
-            added_width = int((high - low).max())
-            if added_width:
-                slots = low[:, None] + np.arange(added_width)[None, :]
-                in_window = slots < high[:, None]
-                safe_slots = np.where(in_window, slots, 0)
-                added_leads = self._lead[rest_nodes[:, None], safe_slots]
-                safe_leads = np.where(in_window, added_leads, 0)
-                hit = (
-                    v[rest[:, None], safe_leads >> 6]
-                    >> (safe_leads & 63).astype(np.uint64)
-                ) & np.uint64(1)
-                picked = (hit.astype(bool) & in_window).astype(np.uint64)
-                if picked.any():
-                    window = self.rows[
-                        rest_nodes[:, None, None],
-                        np.arange(self.words)[None, :, None],
-                        safe_slots[:, None, :],
-                    ]
-                    v[rest] ^= np.bitwise_xor.reduce(
-                        window * picked[:, None, :], axis=2
-                    )
+            # Each later duplicate already carries no pivot bit of its basis
+            # except, possibly, the one appended this wave: one row to test.
+            # (A basis the cap clamp stopped stays full, so its remaining
+            # vectors are dropped whatever they reduce to.)
+            rep = pending[first[inverse[~is_first]]]
+            rep_lead = lead[rep]
+            hit = v[rest, rep_lead >> 6] >> (rep_lead & 63).astype(np.uint64)
+            hit &= 1
+            v[rest] ^= v[rep] * hit[:, None]
             lead[rest] = _leading_bits(v[rest])
             pending = rest[lead[rest] >= 0]
+        # Pass 3 — back-eliminate the rows each basis held before the call.
+        # The final row for any pivot p is the unique span vector carrying p
+        # and no other pivot.  The held rows were not touched in this call,
+        # so they carry no pivot bits except their own and the new pivots
+        # l_j they had on entry; hence a held row O ends as
+        # O ^ sum_j bit(O, l_j) * N_j over the call's mutually reduced new
+        # rows N_j, exactly what sequential inserts leave.  XORing one N_j
+        # changes no other l_j' bit, so applying the depths in turn reads
+        # each bit as it was on entry.  Columns past a basis' held rows are
+        # empty or hold this call's earlier new rows (stored below, whose
+        # carrier bit is 0), so the dense XOR needs no rank mask.
+        for w, (wave_nodes, slots) in enumerate(waves):
+            y = added[wave_nodes, :, w]
+            held = int(slots.max()) - w
+            if held:
+                # repro: allow[REP401] loop is over call depth (<= new rows per basis); each pass batches all grown bases
+                carrier = self.rows[wave_nodes, self._lead_word[wave_nodes, slots], :held]
+                carrier >>= self._lead_shift[wave_nodes, slots][:, None]
+                carrier &= 1
+                delta = y[:, :, None] * carrier[:, None, :]
+                if self._covers_all(wave_nodes):
+                    block = self.rows[:, :, :held]
+                    block ^= delta
+                else:
+                    self.rows[wave_nodes, :, :held] ^= delta
+            self.rows[wave_nodes, :, slots] = y
         return innovative
 
-    def _append_rows(self, nodes: np.ndarray, v: np.ndarray, lead: np.ndarray) -> None:
-        """Store fully-reduced rows as new basis rows (one per listed node)."""
+    def _covers_all(self, nodes: np.ndarray) -> bool:
+        """True iff ``nodes`` lists every basis once, in uid order.
+
+        Row access for such a batch is a view of the store, not a gather.
+        """
+        return nodes.size == self.n and bool((nodes == np.arange(self.n)).all())
+
+    def _append_rows(
+        self, nodes: np.ndarray, v: np.ndarray, lead: np.ndarray
+    ) -> np.ndarray:
+        """Register one fully-reduced row per listed basis; return their slots.
+
+        Updates rank, pivot tables, sorted order and the projections; the
+        row values themselves are stored by :meth:`insert_batch` once the
+        call's back-elimination is done.
+        """
         r = self._rank[nodes]
         width = int(r.max())
-        slots = np.arange(width)[None, :] if width else None
-        if width:
-            # Pass 2 — back-eliminate: clear each new pivot bit from the rows
-            # that carry it, preserving the mutually-reduced invariant.  Only
-            # the word holding the pivot bit is gathered.
-            carrier_word = self.rows[nodes[:, None], (lead >> 6)[:, None], slots]
-            carrier = (carrier_word >> (lead & 63).astype(np.uint64)[:, None]) & np.uint64(1)
-            hits = carrier.astype(bool) & (slots < r[:, None])
-            hit_rows, hit_cols = np.nonzero(hits)
-            if hit_rows.size:
-                self.rows[nodes[hit_rows], :, hit_cols] ^= v[hit_rows]
         if width + 1 > self._capacity:
             self._grow(width + 1)
-        self.rows[nodes, :, r] = v
-        self._pivot_row[nodes, lead] = r
-        # Sorted-order maintenance: the new row's descending-lead position is
-        # the number of existing leads above it; rows at or below that
-        # position shift down by one.
         if width:
-            position = (
-                (self._lead[nodes, :width] > lead[:, None]) & (slots < r[:, None])
-            ).sum(axis=1)
+            # Sorted-order maintenance: the new row's descending-lead
+            # position is the number of existing leads above it (unused
+            # slots hold lead -1, so they never count); rows at or below
+            # that position shift down by one.  Only row indices < rank
+            # hold meaningful positions, so the shift never needs to touch
+            # slots beyond the current maximum rank.
+            position = (self._lead[nodes, :width] > lead[:, None]).sum(axis=1)
+            pos_rows = self._pos[nodes, :width]
+            self._pos[nodes, :width] = pos_rows + (pos_rows >= position[:, None])
         else:
             position = np.zeros(nodes.size, dtype=np.int64)
         self._lead[nodes, r] = lead
-        if width:
-            # Only row indices < rank hold meaningful positions; the shift
-            # never needs to touch slots beyond the current maximum rank.
-            pos_rows = self._pos[nodes, :width]
-            self._pos[nodes, :width] = pos_rows + (pos_rows >= position[:, None])
+        self._lead_word[nodes, r] = lead >> 6
+        self._lead_shift[nodes, r] = (lead & 63).astype(np.uint64)
         self._pos[nodes, r] = position
         self._rank[nodes] = r + 1
         for k, projection in self._projections.items():
             projection.insert_batch(nodes, self._truncated(v, k))
+        return r
 
     def lift_masks(self, per_node_masks: Sequence[Sequence[int]]) -> None:
         """Replay per-node mask sequences (e.g. existing ``GF2Basis`` rows).
@@ -403,34 +456,28 @@ class GF2BasisBatch:
         """
         combined = np.zeros((self.n, self.words), dtype=np.uint64)
         if node_ids is None:
+            at = slice(None)
             ranks = self._rank
-            pos_all = self._pos
-            rows_all = self.rows
-            out = combined
         else:
-            node_ids = np.asarray(node_ids, dtype=np.int64)
+            at = node_ids = np.asarray(node_ids, dtype=np.int64)
             ranks = self._rank[node_ids]
-            pos_all = self._pos[node_ids]
-            rows_all = self.rows[node_ids]
             picks_sorted = picks_sorted[node_ids]
-            out = np.zeros((node_ids.size, self.words), dtype=np.uint64)
         max_rank = int(ranks.max()) if ranks.size else 0
         if max_rank == 0:
             return combined
         width = picks_sorted.shape[1]
         if width < max_rank:
             raise ValueError(f"pick matrix width {width} < max rank {max_rank}")
-        # Map picks from sorted positions onto insertion-order rows.
-        pos = np.minimum(pos_all[:, :max_rank], width - 1)
+        # Map picks from sorted positions onto insertion-order rows; only
+        # the live ``[:max_rank]`` columns are read (or gathered).
+        pos = np.minimum(self._pos[at, :max_rank], width - 1)
         picked = np.take_along_axis(
             np.ascontiguousarray(picks_sorted) != 0, pos, axis=1
         )
         picked &= np.arange(max_rank)[None, :] < ranks[:, None]
-        out[:] = np.bitwise_xor.reduce(
-            rows_all[:, :, :max_rank] * picked.astype(np.uint64)[:, None, :], axis=2
+        combined[at] = np.bitwise_xor.reduce(
+            self.rows[at, :, :max_rank] * picked.astype(np.uint64)[:, None, :], axis=2
         )
-        if node_ids is not None:
-            combined[node_ids] = out
         return combined
 
     def draw_random_picks(

@@ -40,24 +40,65 @@ def _apply_sequence(n, length, inserts):
     return batch, scalars
 
 
+#: Bits either side of the 64-bit word boundaries, where pivot extraction
+#: switches words.
+_BOUNDARY_BITS = (0, 1, 62, 63, 64, 65, 126, 127, 128, 129, 191, 192)
+
+#: Inbox shapes of one ``insert_batch`` call.  "whole" is every node once in
+#: uid order (the batch's view path); "slot_major" and "grouped" list every
+#: node ``d`` times, slot by slot (how the kernels deliver a regular
+#: graph's inbox) or uid by uid; "subset" is a strict subset of the nodes
+#: with repeats; "random" is any list of nodes.
+_INBOX_SHAPES = ("random", "whole", "slot_major", "grouped", "subset")
+
+
+@st.composite
+def packed_vectors(draw, length):
+    """A ``length``-bit mask, often with its top bit on a word boundary."""
+    dense = st.integers(min_value=0, max_value=(1 << length) - 1)
+    tops = [bit for bit in _BOUNDARY_BITS if bit < length] + [length - 1]
+    top = draw(st.sampled_from(tops))
+    below = draw(st.integers(min_value=0, max_value=(1 << top) - 1))
+    return draw(st.one_of(dense, st.just((1 << top) | below)))
+
+
+@st.composite
+def inbox_nodes(draw, n):
+    """The node list of one call, in one of the kernels' inbox shapes."""
+    shape = draw(st.sampled_from(_INBOX_SHAPES))
+    d = draw(st.integers(min_value=2, max_value=3))
+    if shape == "whole":
+        return list(range(n))
+    if shape == "slot_major":
+        return list(range(n)) * d
+    if shape == "grouped":
+        return [uid for uid in range(n) for _ in range(d)]
+    if shape == "subset" and n > 1:
+        subset = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=n - 1),
+                min_size=1,
+                max_size=n - 1,
+                unique=True,
+            )
+        )
+        return draw(
+            st.lists(st.sampled_from(subset), min_size=2, max_size=3 * len(subset))
+        )
+    # duplicates exercise the fused wave loop
+    return draw(
+        st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=3 * n)
+    )
+
+
 @st.composite
 def insert_sequences(draw):
     n = draw(st.integers(min_value=1, max_value=6))
-    length = draw(st.integers(min_value=1, max_value=70))
-    calls = draw(
-        st.lists(
-            st.lists(
-                st.tuples(
-                    st.integers(min_value=0, max_value=n - 1),
-                    st.integers(min_value=0, max_value=(1 << length) - 1),
-                ),
-                min_size=1,
-                max_size=3 * n,  # duplicates exercise the fused wave loop
-            ),
-            min_size=1,
-            max_size=12,
-        )
-    )
+    length = draw(st.integers(min_value=1, max_value=200))
+    calls = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        nodes = draw(inbox_nodes(n))
+        calls.append([(uid, draw(packed_vectors(length))) for uid in nodes])
     return n, length, calls
 
 
@@ -108,6 +149,41 @@ class TestBatchedEliminationEquivalence:
             ranks = batch.coefficient_ranks(k)
             for uid in range(n):
                 assert int(ranks[uid]) == scalars[uid].coefficient_rank(k)
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_deep_call_back_eliminates_held_rows(self, rng, grouped):
+        # Four innovative vectors per basis in one call: the rows each basis
+        # held before the call are back-eliminated once, at the end, against
+        # the call's mutually reduced new rows.  That must equal four
+        # sequential scalar inserts, including the rows' values and order.
+        n, length, depth = 5, 150, 4
+        batch, scalars = _apply_sequence(
+            n,
+            length,
+            [
+                [(uid, int(rng.integers(0, 1 << 62)) << 88) for uid in range(n)]
+                for _ in range(6)
+            ],
+        )
+        uids = (
+            [uid for uid in range(n) for _ in range(depth)]
+            if grouped
+            else list(range(n)) * depth
+        )
+        masks = [
+            int(rng.integers(0, 1 << 50)) << 100 | int(rng.integers(0, 1 << 50)) << 50
+            | int(rng.integers(0, 1 << 50))
+            for _ in uids
+        ]
+        flags = batch.insert_batch(
+            np.array(uids, dtype=np.int64), masks_to_packed(masks, batch.words)
+        )
+        expected = [scalars[uid].insert(mask) for uid, mask in zip(uids, masks)]
+        assert flags.tolist() == expected
+        assert all(expected)
+        for uid in range(n):
+            assert batch.row_masks(uid) == list(scalars[uid]._rows.values())
+            assert batch.basis_masks(uid) == scalars[uid].basis_masks()
 
     def test_lift_masks_replays_existing_bases(self, rng):
         length = 50
