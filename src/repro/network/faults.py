@@ -57,10 +57,11 @@ stream, and each round proceeds through a :class:`RoundFaultPlan`:
    endpoints, partition-crossing edges, lost edges and collided edges
    removed, duplicated edges repeated adjacently.
 
-All three engines consume the same effective CSR (and the identical draw
+The one round loop (:func:`~repro.simulation.kernels.run_kernel_rounds`)
+consumes the effective CSR on both engines (with the identical draw
 order), which is what keeps faulted :class:`~repro.simulation.metrics.RunMetrics`
-byte-identical across kernel / mask / legacy.  Because strategies may crash
-nodes mid-`bind_edges`, engines must read ``plan.down`` only *after*
+byte-identical across kernel and mask.  Because strategies may crash
+nodes mid-`bind_edges`, the loop reads ``plan.down`` only *after*
 ``bind_edges`` has run.
 """
 
@@ -139,7 +140,7 @@ class FaultStrategy:
 
     Any randomness must come from the ``rng`` handed in (the run's dedicated
     fault stream) — strategies drawing from global numpy state break the
-    3-engine byte-identity contract (and trip lint rule REP102).
+    cross-engine byte-identity contract (and trip lint rule REP102).
 
     Strategies that target protocol *progress* instead of topology set the
     class attribute ``wants_state = True``; their bound ``plan_round`` then

@@ -289,7 +289,11 @@ class Topology:
             ).view(bool)  # flatnonzero's bool fast path skips a != 0 temp
             indices = np.flatnonzero(bits) % self.n
             indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(bits.sum(axis=1, dtype=np.int64), out=indptr[1:])
+            # Row degrees as word popcounts, far cheaper than summing the
+            # bits; validation rejects set padding bits past n.
+            np.cumsum(
+                np.bitwise_count(packed).sum(axis=1, dtype=np.int64), out=indptr[1:]
+            )
             self._csr = (indices, indptr)
         return self._csr
 

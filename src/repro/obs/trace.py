@@ -23,11 +23,11 @@ array                     shape / dtype              meaning
 ========================  =========================  ==========================
 
 Trace *content* — every array above plus the manifest's ``content``
-section — is engine-invariant: kernel, mask and legacy runs of the same
-seeded instance produce byte-identical content (a much stronger standing
-parity artifact than final ``RunMetrics``; pinned by
-``tests/test_obs_trace.py``).  Wall-clock phase timings and the engine
-name are *context*: they ride the manifest's ``context`` section and are
+section — is engine-invariant: kernel and mask runs of the same seeded
+instance produce byte-identical content (a much stronger standing parity
+artifact than final ``RunMetrics``; pinned by ``tests/test_obs_trace.py``).
+Wall-clock phase timings, the engine name and the reason it was chosen
+are *context*: they ride the manifest's ``context`` section and are
 excluded from content identity.
 
 Traces serialise to a single compressed ``.npz`` holding the columnar
@@ -206,11 +206,13 @@ class TraceRecorder:
         engine: str,
         factory,
         faults=None,
+        engine_reason: str = "",
     ) -> None:
-        """Bind the recorder to one run (engines call this, once).
+        """Bind the recorder to one run (the runner calls this, once).
 
-        Everything except ``engine`` lands in the content section — it is
-        identical across engines for the same seeded run.  A recorder
+        Everything except ``engine`` and ``engine_reason`` (why that engine
+        ran) lands in the content section — it is identical across engines
+        for the same seeded run.  A recorder
         records exactly one run; reuse raises instead of silently mixing
         two executions into one trace.
         """
@@ -235,7 +237,7 @@ class TraceRecorder:
             "faults": "benign" if faults is None else repr(faults),
             "label": self.label,
         }
-        self._context = {"engine": str(engine)}
+        self._context = {"engine": str(engine), "engine_reason": str(engine_reason)}
 
     def observe_round(
         self,

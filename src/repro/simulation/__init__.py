@@ -1,4 +1,4 @@
-"""Simulation engine: round executors (kernel/mask/legacy), metrics, harness."""
+"""Simulation engine: the round loop and its kernels (kernel/mask), metrics, harness."""
 
 from .experiments import (
     Measurement,

@@ -1,55 +1,52 @@
-"""Vectorised kernel engine: whole-network rounds as packed numpy array ops.
+"""The round engine: one round loop over whole-network kernels.
 
-The mask engine (PR 2) removed the per-round graph and snapshot overhead but
-still executes O(n) Python-object calls per round: one ``compose`` and one
-``deliver`` per node, per-bit neighbour iteration during delivery, one
-``_learn_token`` per received token.  For protocols whose per-node state is
-small and regular, that Python dispatch *is* the remaining cost.
-
-This module adds a third execution engine in which a protocol ships a
-:class:`RoundKernel`: whole-network state lives in packed numpy arrays — an
-``(n, ceil(k/64))`` ``uint64`` knowledge matrix, send/size/delivered arrays
-— and one round is
+Every run executes :func:`run_kernel_rounds` on a :class:`RoundKernel`, the
+whole-network view of one protocol.  One round (Section 4.1) is
 
 1. ``compose_all`` — every node's broadcast selected at once,
-2. masked adjacency propagation — one fancy-index gather over the
-   topology's CSR neighbour arrays plus one ``np.bitwise_or.reduceat``,
-3. ``deliver_all`` — the whole network's knowledge updated in a handful of
-   array operations,
+2. propagation over the round topology's CSR neighbour arrays (edited by
+   the fault plan, when one is bound),
+3. ``deliver_all`` — every node's inbox applied, returning per-node change
+   flags for the useless-delivery count,
 
-with no per-node Python objects on the hot path.  The engine drives
-adversaries (through lazy :class:`~repro.network.adversary.NodeStateView`
-sequences), budget accounting, metrics, and incremental completion exactly
-as the mask engine does: kernel and mask runs report byte-identical
-:class:`~repro.simulation.metrics.RunMetrics` for identical seeds (the node
-rng streams come from the same ``rng.spawn`` order, and every random draw
-is performed against the same per-node generator in the same order).
+followed by the loop's own budget accounting, metrics, trace hook and stop
+rule.  The loop drives adversaries through lazy
+:class:`~repro.network.adversary.NodeStateView` sequences.
 
-Kernels ship for the forwarding family here and for the coding family in
-:mod:`repro.simulation.coded_kernels`:
+Two kinds of kernel implement the hooks:
 
-* :class:`TokenForwardingKernel` / :class:`PipelinedTokenForwardingKernel`
-  — fully vectorised: token selection, delivery and phase commits are
-  packed-array operations;
-* :class:`RandomForwardKernel` — per-node ``rng.choice`` draws are kept
-  (bit-exact stream compatibility) but state is integer bit masks and all
-  metrics bookkeeping is vectorised;
-* :class:`IndexedBroadcastKernel` / :class:`NaiveCodedKernel` /
-  :class:`GreedyForwardKernel` — the network-coded protocols, whose
-  subspaces live in one batched GF(2) elimination core
-  (:class:`~repro.gf.packed.GF2BasisBatch`) with no per-node
-  :class:`~repro.coding.subspace.Subspace` objects on the hot path.
+* :class:`ObjectKernel` — the per-node :class:`~repro.algorithms.base.ProtocolNode`
+  objects themselves: one ``compose`` and one ``deliver`` call per node,
+  inboxes in ascending neighbour-uid order.  It runs every protocol (the
+  ``"mask"`` engine) and is the fallback for protocols without a
+  registered kernel.
+* registered packed kernels (the ``"kernel"`` engine) — whole-network state
+  in packed numpy arrays, with no per-node Python objects on the hot path:
 
-A finished run is materialised back into ordinary protocol nodes by
-:meth:`RoundKernel.to_nodes`, so ``RunResult.nodes``, the correctness check
-and post-hoc inspection keep working unchanged.
+  * :class:`TokenForwardingKernel` / :class:`PipelinedTokenForwardingKernel`
+    — fully vectorised: token selection, delivery and phase commits are
+    packed-array operations;
+  * :class:`RandomForwardKernel` — per-node ``rng.choice`` draws are kept
+    (bit-exact stream compatibility) but state is integer bit masks and
+    all metrics bookkeeping is vectorised;
+  * :class:`IndexedBroadcastKernel` / :class:`NaiveCodedKernel` /
+    :class:`GreedyForwardKernel` (in :mod:`repro.simulation.coded_kernels`)
+    — the network-coded protocols, whose subspaces live in one batched
+    GF(2) elimination core (:class:`~repro.gf.packed.GF2BasisBatch`).
+
+  A packed kernel replays the per-node rng streams draw for draw, so kernel
+  and object runs report byte-identical
+  :class:`~repro.simulation.metrics.RunMetrics` for identical seeds.  A
+  finished run is materialised back into ordinary protocol nodes by
+  :meth:`RoundKernel.to_nodes`, so ``RunResult.nodes``, the correctness
+  check and post-hoc inspection keep working unchanged.
 
 Custom protocols can register their own kernels with
-:func:`register_kernel`; ``run_dissemination(engine="auto")`` picks the
-kernel engine whenever the factory is a registered node class, the
-configuration is supported, and the adversary is not omniscient
-(``sees_messages`` adversaries must inspect per-node message objects,
-which the kernel engine deliberately never builds).
+:func:`register_kernel`; ``run_dissemination(engine="auto")`` picks a
+registered kernel whenever the factory is its node class, the
+configuration is supported, and the kernel can serve the adversary and
+the fault strategy; otherwise it runs the :class:`ObjectKernel` and says
+why in ``RunResult.engine_reason``.
 """
 
 from __future__ import annotations
@@ -71,13 +68,14 @@ from ..network.adversary import Adversary, NodeStateView
 from ..network.faults import StateView
 from ..network.topology import TopologyValidationCache, _iter_bits
 from ..obs.profiler import NULL_PROFILER
-from ..tokens.message import MessageSizeExceeded, TokenForwardMessage
+from ..tokens.message import Message, MessageSizeExceeded, TokenForwardMessage
 from ..tokens.token import TokenId, TokenPlacement
 from .metrics import RunMetrics
 
 __all__ = [
     "KERNEL_REGISTRY",
     "KernelUnsupported",
+    "ObjectKernel",
     "RoundKernel",
     "TokenForwardingKernel",
     "PipelinedTokenForwardingKernel",
@@ -97,7 +95,7 @@ class KernelUnsupported(Exception):
     ``kernel_for`` screens on the *configuration*; some preconditions are
     only visible on the constructed node objects (e.g. a coding state forced
     off the mask-native pipeline).  Under ``engine="auto"`` the runner
-    catches this and falls back to the mask engine; an explicit
+    catches this and falls back to the :class:`ObjectKernel`; an explicit
     ``engine="kernel"`` surfaces it as a ``ValueError``.
     """
 
@@ -252,12 +250,12 @@ class _KernelMessageViews(_SequenceABC):
 
 
 class RoundKernel(abc.ABC):
-    """Whole-network packed state plus the three per-round hooks.
+    """Whole-network protocol state plus the per-round hooks.
 
     A kernel is constructed from the freshly built (and mask-enabled) node
-    objects, lifts their initial state into packed arrays, executes rounds
-    through :meth:`compose_all` / :meth:`deliver_all`, and finally writes
-    the terminal state back into the same node objects via
+    objects, lifts their initial state into its own representation,
+    executes rounds through :meth:`compose_all` / :meth:`deliver_all`, and
+    finally writes the terminal state back into the same node objects via
     :meth:`to_nodes`.
     """
 
@@ -408,6 +406,17 @@ class RoundKernel(abc.ABC):
             "rerun with engine='mask'"
         )
 
+    def on_topology(self, round_index: int, topology) -> None:
+        """Observe the validated round topology (default: nothing).
+
+        Called once per round right after validation, before ``compose_all``
+        for oblivious and adaptive adversaries and after it for omniscient
+        ones.
+        """
+
+    def after_round(self, round_index: int) -> None:
+        """Observe the end of the round's delivery (default: nothing)."""
+
     def to_nodes(self, nodes: Sequence[ProtocolNode]) -> None:
         """Write the terminal packed state back into the node objects."""
 
@@ -420,7 +429,7 @@ def register_kernel(node_class: type):
 
     Registration is by *exact* class identity: a subclass may change
     behaviour arbitrarily, so it never inherits its parent's kernel (it
-    runs on the mask or legacy engine until it registers its own).
+    runs on the :class:`ObjectKernel` until it registers its own).
     """
 
     def decorator(kernel_cls: type[RoundKernel]) -> type[RoundKernel]:
@@ -435,8 +444,8 @@ def kernel_for(factory, config: ProtocolConfig) -> type[RoundKernel] | None:
     """The registered kernel class for a protocol factory, or None.
 
     Only factories that *are* a registered node class resolve (closures,
-    ``functools.partial`` wrappers and subclasses fall back to the mask
-    engine); the kernel may further decline unsupported configurations
+    ``functools.partial`` wrappers and subclasses fall back to the
+    :class:`ObjectKernel`); the kernel may further decline unsupported configurations
     through :meth:`RoundKernel.supports`.
     """
     try:
@@ -446,6 +455,144 @@ def kernel_for(factory, config: ProtocolConfig) -> type[RoundKernel] | None:
     if kernel_cls is None or not kernel_cls.supports(config):
         return None
     return kernel_cls
+
+
+# ----------------------------------------------------------------------
+# the per-node protocol objects as a kernel
+# ----------------------------------------------------------------------
+
+
+class ObjectKernel(RoundKernel):
+    """The per-node protocol objects presented through the kernel interface.
+
+    Runs any protocol: ``compose_all`` and ``deliver_all`` call every node's
+    own ``compose`` / ``deliver``, each inbox is read off the round's CSR in
+    ascending neighbour-uid order, and completion is the nodes'
+    incrementally maintained ``knowledge_mask``.  The nodes *are* the
+    state, so nothing is materialised at the end.
+
+    A protocol may share one coordinator object among its nodes (the
+    ``shared_coordinator`` attribute, see :mod:`repro.algorithms.tstable`);
+    it sees the round topology's ``networkx`` projection through the
+    :meth:`on_topology` and :meth:`after_round` hooks.
+    """
+
+    supports_message_views = True
+
+    def __init__(self, config, placement, token_index, nodes):
+        super().__init__(config, placement, token_index, nodes)
+        self.nodes = nodes
+        self.full = (1 << self.k) - 1
+        self._incomplete = {
+            uid for uid, node in enumerate(nodes) if node.knowledge_mask() != self.full
+        }
+        self.coordinator = getattr(nodes[0], "shared_coordinator", None)
+        self._graph = None
+        self._outgoing: list = [None] * self.n
+        self._sizes = np.zeros(self.n, dtype=np.int64)
+
+    @property
+    def message_name(self) -> str:
+        """The class of the first over-budget message, as budget errors name it."""
+        limit = self.config.budget.limit_bits
+        for message in self._outgoing:
+            if message is not None and message.size_bits > limit:
+                return type(message).__name__
+        return "Message"
+
+    def compose_all(self, round_index):
+        outgoing = [node.compose(round_index) for node in self.nodes]
+        sizes = []
+        for message in outgoing:
+            if message is None:
+                sizes.append(0)
+            elif isinstance(message, Message):
+                sizes.append(message.size_bits)
+            else:
+                raise TypeError(
+                    f"protocol composed a non-Message object: {type(message)!r}"
+                )
+        self._outgoing = outgoing
+        self._sizes = np.array(sizes, dtype=np.int64)
+        active = np.fromiter(
+            (message is not None for message in outgoing), dtype=bool, count=self.n
+        )
+        return active, self._sizes
+
+    def wire_message(self, uid, round_index):
+        return self._outgoing[uid]
+
+    def set_wire_overrides(self, overrides):
+        # Byzantine replay: the listed senders' composed messages are
+        # replaced on the wire by the substituted vector.
+        for uid, mask in overrides.items():
+            if self._outgoing[uid] is not None:
+                message = self.nodes[uid].generation.message_from_mask(uid, mask)
+                self._outgoing[uid] = message
+                self._sizes[uid] = message.size_bits
+
+    def deliver_all(self, round_index, indices, indptr, active, counts):
+        outgoing = self._outgoing
+        sending = active.tolist()
+        senders = indices.tolist()
+        bounds = indptr.tolist()
+        changed = [False] * self.n
+        for uid, node in enumerate(self.nodes):
+            inbox = [
+                outgoing[v] for v in senders[bounds[uid] : bounds[uid + 1]] if sending[v]
+            ]
+            if inbox:
+                before = (len(node.known), node.coded_rank())
+                node.deliver(round_index, inbox)
+                changed[uid] = (len(node.known), node.coded_rank()) != before
+            else:
+                node.deliver(round_index, inbox)
+        return np.array(changed, dtype=bool)
+
+    def on_topology(self, round_index, topology):
+        if self.coordinator is not None:
+            self._graph = topology.to_nx()
+            self.coordinator.on_topology(round_index, self._graph, self.nodes)
+
+    def after_round(self, round_index):
+        if self.coordinator is not None:
+            self.coordinator.after_round(round_index, self._graph, self.nodes)
+
+    # Counts and ranks are never cached: ``compose`` may mutate the nodes.
+    def _known_counts_now(self) -> np.ndarray:
+        return np.fromiter(
+            (len(node.known) for node in self.nodes), dtype=np.int64, count=self.n
+        )
+
+    def known_counts(self) -> np.ndarray:
+        return self._known_counts_now()
+
+    def coded_ranks(self) -> np.ndarray:
+        return np.fromiter(
+            (node.coded_rank() for node in self.nodes), dtype=np.int64, count=self.n
+        )
+
+    def completed_flags(self) -> np.ndarray:
+        full = self.full
+        return np.fromiter(
+            (node.knowledge_mask() == full for node in self.nodes),
+            dtype=bool,
+            count=self.n,
+        )
+
+    def all_complete(self) -> bool:
+        # Incremental: only nodes still missing tokens are re-examined.
+        full, nodes = self.full, self.nodes
+        self._incomplete = {
+            uid for uid in self._incomplete if nodes[uid].knowledge_mask() != full
+        }
+        return not self._incomplete
+
+    def finished_all(self) -> bool:
+        return all(node.finished() for node in self.nodes)
+
+    def state_view(self, uid: int) -> NodeStateView:
+        return self.nodes[uid].state_view()
 
 
 # ----------------------------------------------------------------------
@@ -466,12 +613,13 @@ def run_kernel_rounds(
     faults=None,
     trace=None,
 ) -> list:
-    """Execute rounds on a kernel; mirrors the mask engine's round semantics.
+    """Execute the rounds of one run on a kernel: the simulator's round loop.
 
     Per round: lazy state views -> ``choose_topology`` -> identity-cached
-    validation -> ``compose_all`` -> vectorised budget/broadcast accounting
-    -> CSR delivery (gather + ``reduceat``) -> vectorised useless-delivery
-    and completion bookkeeping.  Returns the recorded topologies.
+    validation -> ``on_topology`` -> ``compose_all`` -> vectorised
+    budget/broadcast accounting -> CSR delivery -> ``after_round`` ->
+    vectorised useless-delivery and completion bookkeeping.  Returns the
+    recorded topologies.
 
     ``faults`` (a :class:`~repro.network.faults.BoundFaults`) edits the
     round's CSR into its effective form — crashed endpoints and lost edges
@@ -480,7 +628,7 @@ def run_kernel_rounds(
     unreachable once a token holder crashes).  Omniscient adversaries are
     supported when the kernel opts in via ``supports_message_views``: the
     round then composes first and hands the adversary a lazy message-view
-    sequence, exactly like the object engines.
+    sequence.
 
     ``trace`` (a :class:`~repro.obs.trace.TraceRecorder`, already bound via
     ``begin_run``) receives one vectorised ``observe_round`` per executed
@@ -498,11 +646,11 @@ def run_kernel_rounds(
     for round_index in range(max_rounds):
         plan = faults.begin_round(round_index) if faults is not None else None
         if adversary.sees_messages:
-            # Omniscient order, as the object engines run it: compose first,
-            # then show the adversary the (lazily materialised) messages.
-            # The state views must be materialised *before* composing: the
-            # object engines capture rank/count by value at snapshot time,
-            # and coded kernels mutate their group state (flood ->
+            # Omniscient order: compose first, then show the adversary the
+            # (lazily materialised) messages.  The state views must be
+            # materialised *before* composing: node views capture
+            # rank/count by value at snapshot time, and coded kernels
+            # mutate their group state (flood ->
             # broadcast transition) inside ``compose_all`` — a lazy view
             # read after compose would leak that transition into the
             # adversary's split.
@@ -514,12 +662,14 @@ def run_kernel_rounds(
             messages = kernel.message_views(round_index, active)
             graph = adversary.choose_topology(round_index, n, states, messages)
             topology = cache.validated(graph, n)
+            kernel.on_topology(round_index, topology)
         else:
             # Oblivious/adaptive order: the adversary reads state before
             # compose, so the lazy sequence costs zero for oblivious ones.
             states = kernel.state_views()
             graph = adversary.choose_topology(round_index, n, states)
             topology = cache.validated(graph, n)
+            kernel.on_topology(round_index, topology)
             with profiler.span("compose"):
                 active, sizes = kernel.compose_all(round_index)
             if plan is not None and plan.substitute:
@@ -533,8 +683,8 @@ def run_kernel_rounds(
             # nodes mid-round: ``plan.down`` is final only afterwards, so
             # the sending mask must be computed below, not before.  The
             # compose-time ``active`` mask feeds the collision rule, and a
-            # wants_state strategy sees the same post-compose count/rank
-            # snapshot the object engines extract.
+            # wants_state strategy sees the post-compose count/rank
+            # snapshot.
             state = None
             if faults.wants_state:
                 state = StateView(kernel.known_counts(), kernel.coded_ranks())
@@ -585,6 +735,7 @@ def run_kernel_rounds(
             changed = kernel.deliver_all(
                 round_index, indices, indptr, sending, counts
             )
+        kernel.after_round(round_index)
 
         metrics.deliveries += int(counts.sum()) + discarded
         useless = (counts > 0) & ~changed

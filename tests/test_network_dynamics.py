@@ -288,13 +288,11 @@ class TestScheduleAdversary:
                 engine=engine,
                 record_topologies=True,
             )
-            for engine in ("kernel", "mask", "legacy")
+            for engine in ("kernel", "mask")
         }
-        kernel, mask, legacy = results["kernel"], results["mask"], results["legacy"]
+        kernel, mask = results["kernel"], results["mask"]
         assert kernel.engine == "kernel" and kernel.completed and kernel.correct
         assert dataclasses.asdict(kernel.metrics) == dataclasses.asdict(mask.metrics)
-        assert dataclasses.asdict(kernel.metrics) == dataclasses.asdict(legacy.metrics)
         kernel_edges = [{frozenset(e) for e in t.edges} for t in kernel.topologies]
         mask_edges = [{frozenset(e) for e in t.edges} for t in mask.topologies]
-        legacy_edges = [{frozenset(e) for e in g.edges} for g in legacy.topologies]
-        assert kernel_edges == mask_edges == legacy_edges
+        assert kernel_edges == mask_edges

@@ -1,11 +1,12 @@
 """Equivalence and contract tests for the runner's two execution engines.
 
-The mask engine (bitmask topologies, identity-cached validation, lazy state
-views, incremental ``knowledge_mask`` tracking) and the legacy
-networkx/frozenset engine implement the identical round semantics; these
-tests pin that equivalence across protocol/adversary pairs, the auto engine
-selection rules, the once-per-topology validation cache, and the
-``rng.spawn`` node-seeding scheme.
+Every run goes through the one round loop (``run_kernel_rounds``); the
+kernel engine feeds it a registered packed kernel and the mask engine the
+:class:`~repro.simulation.kernels.ObjectKernel` over the per-node protocol
+objects.  These tests pin their equivalence across protocol/adversary
+pairs, the engine selection rules and the reason each run reports for its
+engine, the once-per-topology validation cache, and the ``rng.spawn``
+node-seeding scheme.
 """
 
 from __future__ import annotations
@@ -19,11 +20,16 @@ import pytest
 from repro.algorithms import (
     GreedyForwardNode,
     IndexedBroadcastNode,
+    NaiveCodedNode,
     TokenForwardingNode,
     make_tstable_factory,
 )
+from repro.coding.rlnc import GenerationState
 from repro.network import (
     BottleneckAdversary,
+    FaultModel,
+    FrontierLossStrategy,
+    OmniscientBottleneckAdversary,
     PathShuffleAdversary,
     RandomConnectedAdversary,
     StaticAdversary,
@@ -32,9 +38,13 @@ from repro.network import (
     ring_topology,
 )
 from repro.network.stability import is_t_stable, max_stability
+from repro.obs import TraceRecorder
 from repro.simulation import run_dissemination, standard_instance
+from repro.simulation.kernels import NaiveCodedKernel, TokenForwardingKernel
 from repro.simulation.runner import build_nodes
 from tests.conftest import make_config
+
+ENGINES = ("kernel", "mask")
 
 
 def _run(factory, config, adversary, *, engine, seed=3, **kwargs):
@@ -72,61 +82,40 @@ class TestEngineEquivalence:
                 engine=engine,
                 track_progress=True,
             )
-            for engine in ("mask", "legacy")
+            for engine in ENGINES
         }
-        mask, legacy = results["mask"], results["legacy"]
+        kernel, mask = results["kernel"], results["mask"]
         assert mask.completed and mask.correct
-        assert dataclasses.asdict(mask.metrics) == dataclasses.asdict(legacy.metrics)
-        assert mask.correct == legacy.correct
-        for mask_node, legacy_node in zip(mask.nodes, legacy.nodes):
-            assert mask_node.known_token_ids() == legacy_node.known_token_ids()
-
-    def test_tstable_patch_protocol_equivalence(self):
-        # The coordinator-backed patch protocol exercises the nx projection
-        # (to_nx) on the mask path every stability block.
-        n, stability = 12, 4
-        config = make_config(n, stability=stability)
-        results = {}
-        for engine in ("mask", "legacy"):
-            factory = make_tstable_factory(config, seed=2)
-            adversary = TStableAdversary(PathShuffleAdversary(seed=9), stability)
-            results[engine] = _run(factory, config, adversary, engine=engine)
-        mask, legacy = results["mask"], results["legacy"]
-        assert mask.completed and mask.correct
-        assert dataclasses.asdict(mask.metrics) == dataclasses.asdict(legacy.metrics)
+        assert dataclasses.asdict(kernel.metrics) == dataclasses.asdict(mask.metrics)
+        assert kernel.correct == mask.correct
+        for kernel_node, mask_node in zip(kernel.nodes, mask.nodes):
+            assert kernel_node.known_token_ids() == mask_node.known_token_ids()
 
     def test_recorded_topologies_match_across_engines(self):
         config = make_config(10)
-        mask = _run(
-            TokenForwardingNode,
-            config,
-            TStableAdversary(PathShuffleAdversary(seed=4), 3),
-            engine="mask",
-            record_topologies=True,
-        )
-        legacy = _run(
-            TokenForwardingNode,
-            config,
-            TStableAdversary(PathShuffleAdversary(seed=4), 3),
-            engine="legacy",
-            record_topologies=True,
-        )
-        assert len(mask.topologies) == len(legacy.topologies)
-        for mask_topology, nx_graph in zip(mask.topologies, legacy.topologies):
+        results = {
+            engine: _run(
+                TokenForwardingNode,
+                config,
+                TStableAdversary(PathShuffleAdversary(seed=4), 3),
+                engine=engine,
+                record_topologies=True,
+            )
+            for engine in ENGINES
+        }
+        kernel, mask = results["kernel"], results["mask"]
+        assert len(kernel.topologies) == len(mask.topologies)
+        for kernel_topology, mask_topology in zip(kernel.topologies, mask.topologies):
+            assert isinstance(kernel_topology, Topology)
             assert isinstance(mask_topology, Topology)
-            assert isinstance(nx_graph, nx.Graph)
-            assert {frozenset(e) for e in mask_topology.edges} == {
-                frozenset(e) for e in nx_graph.edges
-            }
-        # The stability checkers consume both representations identically.
-        assert is_t_stable(mask.topologies, 3) == is_t_stable(legacy.topologies, 3)
-        assert max_stability(mask.topologies) == max_stability(legacy.topologies)
+            assert kernel_topology.edges == mask_topology.edges
+        assert is_t_stable(kernel.topologies, 3) and is_t_stable(mask.topologies, 3)
+        assert max_stability(kernel.topologies) == max_stability(mask.topologies)
 
 
 class MutatingGraphAdversary(BottleneckAdversary):
     """Rewires and re-returns ONE ``nx.Graph`` object every round — a legal
-    pre-PR adversary pattern the runner must not serve stale conversions
-    for."""
+    adversary pattern the runner must not serve stale conversions for."""
 
     def __init__(self):
         super().__init__()
@@ -146,23 +135,40 @@ class TestEngineEquivalence2:
         # Topology objects; an nx.Graph mutated in place between rounds has
         # the same id but different edges.
         config = make_config(10)
+        kernel = _run(TokenForwardingNode, config, MutatingGraphAdversary(), engine="kernel")
         mask = _run(TokenForwardingNode, config, MutatingGraphAdversary(), engine="mask")
-        legacy = _run(TokenForwardingNode, config, MutatingGraphAdversary(), engine="legacy")
         assert mask.completed and mask.correct
-        assert dataclasses.asdict(mask.metrics) == dataclasses.asdict(legacy.metrics)
+        assert dataclasses.asdict(kernel.metrics) == dataclasses.asdict(mask.metrics)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_reused_nx_graph_is_recorded_as_topologies(self, engine):
+        # The adversary hands back the same mutable nx.Graph every round;
+        # each recorded round is its own validated Topology snapshot.
+        config = make_config(10)
+        result = _run(
+            TokenForwardingNode,
+            config,
+            MutatingGraphAdversary(),
+            engine=engine,
+            record_topologies=True,
+        )
+        assert result.engine == engine
+        assert len(result.topologies) == result.metrics.rounds_executed
+        assert all(isinstance(t, Topology) for t in result.topologies)
+        assert len({frozenset(map(frozenset, t.edges)) for t in result.topologies}) > 1
 
 
 class OpaqueKnowledgeNode(TokenForwardingNode):
-    """Same behaviour, but overrides ``known_token_ids`` — the documented
-    opt-out from mask tracking (the ``known`` dict may not be authoritative
-    for such protocols)."""
+    """Same behaviour, but overrides ``known_token_ids`` — the ``known`` dict
+    may then not be the authoritative knowledge record, so the runner
+    rejects it."""
 
     def known_token_ids(self) -> frozenset:
         return frozenset(self.known)
 
 
 class TestEngineSelection:
-    def test_auto_prefers_mask_engine(self):
+    def test_auto_prefers_kernel_engine(self):
         config = make_config(8)
         result = _run(
             TokenForwardingNode,
@@ -171,38 +177,111 @@ class TestEngineSelection:
             engine="auto",
             record_topologies=True,
         )
-        assert result.completed
+        assert result.completed and result.engine == "kernel"
         assert all(isinstance(t, Topology) for t in result.topologies)
 
-    def test_auto_falls_back_to_legacy_for_opaque_protocols(self):
-        config = make_config(8)
-        result = _run(
-            OpaqueKnowledgeNode,
-            config,
-            BottleneckAdversary(),
-            engine="auto",
-            record_topologies=True,
-        )
-        assert result.completed and result.correct
-        assert all(isinstance(t, nx.Graph) for t in result.topologies)
-
-    def test_mask_engine_rejects_opaque_protocols(self):
+    @pytest.mark.parametrize("engine", ("auto", "mask", "kernel"))
+    def test_opaque_protocols_rejected_on_every_engine(self, engine):
         config = make_config(8)
         with pytest.raises(ValueError, match="knowledge-mask"):
-            _run(OpaqueKnowledgeNode, config, BottleneckAdversary(), engine="mask")
+            _run(OpaqueKnowledgeNode, config, BottleneckAdversary(), engine=engine)
 
     def test_unknown_engine_rejected(self):
         config = make_config(8)
         with pytest.raises(ValueError, match="engine"):
             _run(TokenForwardingNode, config, BottleneckAdversary(), engine="turbo")
 
-    def test_opaque_protocol_matches_plain_forwarding(self):
-        # The override returns the same id set, so the legacy fallback must
-        # reproduce the mask-engine run of the unmodified protocol.
+    def test_legacy_engine_rejected(self):
         config = make_config(8)
-        plain = _run(TokenForwardingNode, config, BottleneckAdversary(), engine="mask")
-        opaque = _run(OpaqueKnowledgeNode, config, BottleneckAdversary(), engine="auto")
-        assert dataclasses.asdict(plain.metrics) == dataclasses.asdict(opaque.metrics)
+        with pytest.raises(ValueError, match="'auto', 'mask' or 'kernel'"):
+            _run(TokenForwardingNode, config, BottleneckAdversary(), engine="legacy")
+
+
+class TestEngineReason:
+    """``RunResult.engine_reason`` names why the engine ran, one branch each."""
+
+    def test_registered_kernel(self):
+        result = _run(TokenForwardingNode, make_config(8), BottleneckAdversary(), engine="auto")
+        assert result.engine == "kernel"
+        assert result.engine_reason == "registered TokenForwardingKernel"
+
+    def test_mask_requested(self):
+        result = _run(TokenForwardingNode, make_config(8), BottleneckAdversary(), engine="mask")
+        assert result.engine == "mask"
+        assert result.engine_reason == "engine='mask' requested"
+
+    def test_no_registered_kernel(self):
+        n, stability = 12, 4
+        config = make_config(n, stability=stability)
+        results = {}
+        for engine in ("auto", "mask"):
+            factory = make_tstable_factory(config, seed=2)
+            adversary = TStableAdversary(PathShuffleAdversary(seed=9), stability)
+            results[engine] = _run(factory, config, adversary, engine=engine)
+        auto = results["auto"]
+        assert auto.engine == "mask" and auto.completed and auto.correct
+        assert auto.engine_reason == (
+            "no registered RoundKernel for TStablePatchFactory under this configuration"
+        )
+        assert dataclasses.asdict(auto.metrics) == dataclasses.asdict(
+            results["mask"].metrics
+        )
+
+    def test_kernel_without_message_views(self, monkeypatch):
+        monkeypatch.setattr(NaiveCodedKernel, "supports_message_views", False)
+        result = _run(
+            NaiveCodedNode, make_config(8), OmniscientBottleneckAdversary(), engine="auto"
+        )
+        assert result.engine == "mask"
+        assert result.engine_reason == (
+            "NaiveCodedKernel builds no per-node message views for an omniscient "
+            "(sees_messages) adversary"
+        )
+
+    def test_kernel_without_state_views(self, monkeypatch):
+        monkeypatch.setattr(TokenForwardingKernel, "supports_state_views", False)
+        result = _run(
+            TokenForwardingNode,
+            make_config(8),
+            BottleneckAdversary(),
+            engine="auto",
+            faults=FaultModel(strategy=FrontierLossStrategy(probability=0.5)),
+        )
+        assert result.engine == "mask"
+        assert result.engine_reason == (
+            "TokenForwardingKernel exposes no per-round state views to a "
+            "state-aware (wants_state) fault strategy"
+        )
+
+    def test_kernel_unsupported_by_the_built_nodes(self, monkeypatch):
+        original_init = GenerationState.__init__
+
+        def array_pipeline_init(self, generation):
+            original_init(self, generation)
+            self._mask_native = False
+
+        monkeypatch.setattr(GenerationState, "__init__", array_pipeline_init)
+        result = _run(
+            IndexedBroadcastNode, make_config(8), RandomConnectedAdversary(seed=1), engine="auto"
+        )
+        assert result.engine == "mask"
+        assert result.engine_reason.startswith(
+            "IndexedBroadcastKernel: KernelUnsupported: "
+        )
+
+    def test_reason_rides_the_trace_context(self):
+        recorder = TraceRecorder()
+        result = _run(
+            make_tstable_factory(make_config(8, stability=2), seed=1),
+            make_config(8, stability=2),
+            TStableAdversary(PathShuffleAdversary(seed=2), 2),
+            engine="auto",
+            trace=recorder,
+        )
+        trace = recorder.to_trace()
+        assert trace.context["engine"] == "mask"
+        assert trace.context["engine_reason"] == result.engine_reason
+        assert "engine_reason" not in trace.content
 
 
 class TestValidationCache:
