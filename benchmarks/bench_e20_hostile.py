@@ -21,8 +21,8 @@ kernel-eligible and close to benign-run throughput.  Three measurements:
    ``benchmarks/check_regression.py`` fails a run that regresses it by
    more than 25 %.
 4. **Adaptive-adversary overhead headline** — the same per-round comparison
-   with an adaptive :class:`BridgeLossStrategy` consulted every round (live
-   spanning-forest + cut-edge analysis), sticky in
+   with an adaptive :class:`BridgeLossStrategy` consulted every round (one
+   linear-time bridge-finding DFS over the live topology), sticky in
    ``BENCH_HOSTILE_ADAPTIVE.json`` under its own regression guard.
 """
 
@@ -240,8 +240,8 @@ def _write_baseline(catalog: list[dict], degradation: list[dict], overhead: dict
     )
 
 
-#: Adaptive-overhead comparison: the bridge-loss adversary recomputes a
-#: spanning forest and its cut edges from the live topology every round.
+#: Adaptive-overhead comparison: the bridge-loss adversary finds the live
+#: topology's bridges every round, in one linear-time lowlink DFS.
 ADAPTIVE_MODEL = FaultModel(strategy=BridgeLossStrategy(probability=0.5))
 
 
@@ -268,8 +268,9 @@ def _write_adaptive_baseline(overhead: dict) -> None:
             {
                 "description": (
                     "E20 adaptive-adversary overhead: per-round kernel slowdown of "
-                    "a BridgeLossStrategy run (live spanning-forest + cut-edge "
-                    "analysis every round) versus the identical benign run at n=48."
+                    "a BridgeLossStrategy run (one linear-time bridge-finding DFS "
+                    "over the live topology every round) versus the identical "
+                    "benign run at n=48."
                 ),
                 "overhead": overhead,
                 "headline": {

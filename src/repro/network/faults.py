@@ -180,9 +180,10 @@ def _live_edge_row_ints(
 ) -> tuple[np.ndarray, list[int]]:
     """The round's live subgraph, packed and as python-int adjacency rows.
 
-    Edges with a down endpoint are excluded; the packed matrix feeds
+    Edges with a down endpoint are excluded.  Both forms feed
+    :func:`_forest_edges`: the packed matrix goes to
     :func:`~repro.network.dynamics.spanning_structure` and the int rows
-    drive the arbitrary-precision mask BFS used for bridge checks.
+    filter its repair edges back out.
     """
     live = ~down[senders] & ~down[receivers]
     s = senders[live].astype(np.int64)
@@ -224,30 +225,63 @@ def _forest_edges(packed: np.ndarray, rows: list[int], n: int) -> list[tuple[int
     return edges
 
 
-def _is_bridge(rows: list[int], u: int, v: int) -> bool:
-    """Whether live edge ``(u, v)`` is a bridge: does removing it disconnect
-    ``v`` from ``u``?  Arbitrary-precision mask BFS from ``u``."""
-    target = 1 << v
-    reached = 1 << u
-    frontier = reached
-    while frontier:
-        grown = 0
-        m = frontier
-        while m:
-            lsb = m & -m
-            i = lsb.bit_length() - 1
-            m ^= lsb
-            row = rows[i]
-            if i == u:
-                row &= ~(1 << v)
-            elif i == v:
-                row &= ~(1 << u)
-            grown |= row
-        frontier = grown & ~reached
-        reached |= frontier
-        if reached & target:
-            return False
-    return True
+def _live_bridges(
+    senders: np.ndarray,
+    receivers: np.ndarray,
+    down: np.ndarray,
+    n: int,
+) -> list[tuple[int, int]]:
+    """Every bridge of the round's live subgraph, as ``(u, v)`` with ``u < v``,
+    in ascending order.
+
+    One iterative lowlink DFS over the live edges (neither endpoint down),
+    O(n + m): a tree edge ``(parent, u)`` is a bridge iff no edge from
+    ``u``'s subtree climbs to ``parent`` or above, i.e. ``low[u] >
+    pre[parent]`` (Tarjan 1974, *A note on finding the bridges of a
+    graph*).  The edges are a CSR edge list as ``bind_edges`` passes it:
+    ``receivers`` ascending, each link present in both directions and no
+    link twice; self-loops are never bridges.
+    """
+    live = ~down[senders] & ~down[receivers]
+    adj = senders[live].tolist()
+    start = [0]
+    start.extend(np.cumsum(np.bincount(receivers[live], minlength=n)).tolist())
+    pre = [0] * n  # 1-based preorder number; 0 marks unvisited
+    low = [0] * n
+    parent = [-1] * n
+    cursor = start[:n]
+    bridges: list[tuple[int, int]] = []
+    counter = 0
+    for root in range(n):
+        if pre[root]:
+            continue
+        counter += 1
+        pre[root] = low[root] = counter
+        stack = [root]
+        while stack:
+            u = stack[-1]
+            i = cursor[u]
+            if i < start[u + 1]:
+                cursor[u] = i + 1
+                v = adj[i]
+                if not pre[v]:
+                    counter += 1
+                    pre[v] = low[v] = counter
+                    parent[v] = u
+                    stack.append(v)
+                elif v != parent[u] and pre[v] < low[u]:
+                    low[u] = pre[v]
+                continue
+            stack.pop()
+            p = parent[u]
+            if p < 0:
+                continue
+            if low[u] < low[p]:
+                low[p] = low[u]
+            if low[u] > pre[p]:
+                bridges.append((p, u) if p < u else (u, p))
+    bridges.sort()
+    return bridges
 
 
 def _edge_positions_lost(
@@ -267,10 +301,11 @@ class BridgeLossStrategy(FaultStrategy):
     """Erase bridges: each round, every cut edge of the live subgraph is
     independently lost with ``probability``.
 
-    Bridges are found by checking each spanning-forest edge of the live
-    subgraph (non-tree edges are never bridges); a hit erases both directed
-    copies of the link for the round.  This is the worst place a given loss
-    rate can land — a lost bridge partitions the round's graph.
+    Bridges are found in one linear-time lowlink DFS over the live subgraph
+    (:func:`_live_bridges`) and drawn for in ascending ``(u, v)`` order, one
+    Bernoulli each; a hit erases both directed copies of the link for the
+    round.  This is the worst place a given loss rate can land — a lost
+    bridge partitions the round's graph.
     """
 
     probability: float = 1.0
@@ -292,12 +327,7 @@ class _BoundBridgeLoss(BoundStrategy):
 
     def plan_round(self, round_index, senders, receivers, indptr, down, rng):
         n = self.n
-        packed, rows = _live_edge_row_ints(senders, receivers, down, n)
-        bridges = [
-            (u, v)
-            for u, v in _forest_edges(packed, rows, n)
-            if _is_bridge(rows, u, v)
-        ]
+        bridges = _live_bridges(senders, receivers, down, n)
         if not bridges:
             return None, ()
         hit = rng.random(len(bridges)) < self.strategy.probability
